@@ -74,7 +74,7 @@ adapt-smoke:
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/...
+	$(MAKE) race
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 2s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzRiemann -fuzztime 2s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzArtifactDecode -fuzztime 2s ./internal/store

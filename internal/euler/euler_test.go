@@ -328,55 +328,6 @@ func TestStepReducesResidualOnBump(t *testing.T) {
 	}
 }
 
-func TestWideSensorSpreadsSwitch(t *testing.T) {
-	// widenSensor replaces each vertex's switch with the max over its
-	// neighbourhood: a single hot vertex must light up exactly its
-	// neighbours, and values never decrease.
-	spec := meshgen.DefaultChannel(6, 4, 3, 3)
-	m, err := meshgen.Channel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams(0.675, 0)
-	p.WideSensor = true
-	d := NewDisc(m, p)
-
-	hot := int32(m.NV() / 2)
-	nu := make([]float64, m.NV())
-	nu[hot] = 1
-	before := append([]float64(nil), nu...)
-	d.widenSensor(nu)
-
-	neighbour := make([]bool, m.NV())
-	for _, e := range m.Edges {
-		if e[0] == hot {
-			neighbour[e[1]] = true
-		}
-		if e[1] == hot {
-			neighbour[e[0]] = true
-		}
-	}
-	for v := range nu {
-		if nu[v] < before[v] {
-			t.Fatalf("vertex %d: switch decreased %g -> %g", v, before[v], nu[v])
-		}
-		switch {
-		case int32(v) == hot:
-			if nu[v] != 1 {
-				t.Fatalf("hot vertex lost its switch: %g", nu[v])
-			}
-		case neighbour[v]:
-			if nu[v] != 1 {
-				t.Fatalf("neighbour %d not widened: %g", v, nu[v])
-			}
-		default:
-			if nu[v] != 0 {
-				t.Fatalf("non-neighbour %d was widened: %g", v, nu[v])
-			}
-		}
-	}
-}
-
 func TestResidualAveragingEnablesHighCFL(t *testing.T) {
 	// The point of the implicit residual averaging: at CFL 6 the scheme
 	// diverges without it and converges with it.

@@ -72,8 +72,8 @@ func (p *Params) LimitUpdate(w0, cand State) State {
 }
 
 // admitUpdate is the single admission point of every stage-update kernel —
-// sequential (Disc.Step), AoS range (UpdateRangeKernel) and SoA
-// (UpdateFinalSoAKernel, UpdateNextSoAKernel) — so all engines perform
+// sequential (Disc.Step) and range (UpdateFinalSoAKernel,
+// UpdateNextSoAKernel) — so all engines perform
 // literally the same arithmetic and stay bitwise conformant. With
 // ConvexLimit unset it reproduces the historical guard exactly: revert the
 // whole vertex for the stage when the candidate leaves the admissible set.

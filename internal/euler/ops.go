@@ -16,7 +16,6 @@ type Params struct {
 	K4         float64   // biharmonic (background) dissipation coefficient
 	EpsSmooth  float64   // implicit residual averaging coefficient (0 = off)
 	NSmooth    int       // Jacobi sweeps for residual averaging
-	WideSensor bool      // widen the shock switch by one neighbourhood
 	Stages     []float64 // Runge-Kutta stage coefficients
 	Freestream State     // far-field reference state
 
@@ -322,9 +321,6 @@ func (d *Disc) Dissipation(w []State, diss []State) {
 	for i := range nu {
 		nu[i] = math.Abs(num[i]) / den[i]
 	}
-	if d.P.WideSensor {
-		d.widenSensor(nu)
-	}
 
 	// Pass 2: blended dissipative flux.
 	k2, k4 := d.P.K2, d.P.K4
@@ -415,25 +411,6 @@ func (d *Disc) SmoothResiduals(res []State) {
 	if &cur[0] != &res[0] {
 		copy(res, cur)
 	}
-}
-
-// widenSensor replaces each vertex's shock switch by the maximum over its
-// edge neighbourhood, spreading the Laplacian dissipation one cell beyond
-// the detected shock. This is the standard stencil widening that prevents
-// switch dithering at captured shocks.
-func (d *Disc) widenSensor(nu []float64) {
-	wide := d.den // den is free after the sensor pass
-	copy(wide, nu)
-	for _, ed := range d.M.Edges {
-		i, j := ed[0], ed[1]
-		if nu[j] > wide[i] {
-			wide[i] = nu[j]
-		}
-		if nu[i] > wide[j] {
-			wide[j] = nu[i]
-		}
-	}
-	copy(nu, wide)
 }
 
 // Guard returns true when s is physically admissible under the positivity

@@ -7,9 +7,9 @@ package euler
 // independent contiguous arrays instead of striding through 40-byte
 // records, which is the data-layout conversion Dai et al. (arXiv:2209.01877)
 // apply to the same class of unstructured edge loops. The public solver
-// interfaces keep []State; the conversions below are the shims between the
-// two layouts and are exact (pure copies, no arithmetic), so switching
-// layouts never perturbs results.
+// interfaces keep []State; FromStates and the fused load/scatter kernels
+// in kernels.go are the shims between the two layouts and are exact (pure
+// copies, no arithmetic), so switching layouts never perturbs results.
 type StateSoA struct {
 	Comp [NVar][]float64
 
@@ -39,25 +39,12 @@ func (s *StateSoA) Resize(nv int) {
 	}
 }
 
-// Len returns the number of vertices.
-func (s *StateSoA) Len() int { return len(s.Comp[0]) }
-
 // FromStates copies w[lo:hi] into the SoA layout (gather shim).
 func (s *StateSoA) FromStates(w []State, lo, hi int) {
 	for k := 0; k < NVar; k++ {
 		c := s.Comp[k]
 		for i := lo; i < hi; i++ {
 			c[i] = w[i][k]
-		}
-	}
-}
-
-// ToStates copies the SoA range [lo,hi) back into w (scatter shim).
-func (s *StateSoA) ToStates(w []State, lo, hi int) {
-	for k := 0; k < NVar; k++ {
-		c := s.Comp[k]
-		for i := lo; i < hi; i++ {
-			w[i][k] = c[i]
 		}
 	}
 }
@@ -69,13 +56,6 @@ func (s *StateSoA) At(i int) State {
 		st[k] = s.Comp[k][i]
 	}
 	return st
-}
-
-// Set scatters st into vertex i.
-func (s *StateSoA) Set(i int, st State) {
-	for k := 0; k < NVar; k++ {
-		s.Comp[k][i] = st[k]
-	}
 }
 
 // ZeroRange clears the vertices [lo,hi).

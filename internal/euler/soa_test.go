@@ -5,35 +5,18 @@ import (
 )
 
 // TestStateSoARoundTrip checks the SoA block's conversion surface: a
-// []State gathered with FromStates scatters back unchanged through At,
-// Set, ToStates and CopyRange, and ZeroRange clears exactly its range.
+// []State gathered with FromStates reads back unchanged through At and
+// CopyRange, and ZeroRange clears exactly its range.
 func TestStateSoARoundTrip(t *testing.T) {
 	_, w := kernelFixture(t)
 	n := len(w)
 
 	s := NewStateSoA(n)
-	if s.Len() != n {
-		t.Fatalf("Len() = %d, want %d", s.Len(), n)
-	}
 	s.FromStates(w, 0, n)
 	for i := range w {
 		if s.At(i) != w[i] {
 			t.Fatalf("At(%d) = %v, want %v", i, s.At(i), w[i])
 		}
-	}
-
-	back := make([]State, n)
-	s.ToStates(back, 0, n)
-	for i := range w {
-		if back[i] != w[i] {
-			t.Fatalf("ToStates: vertex %d = %v, want %v", i, back[i], w[i])
-		}
-	}
-
-	mod := State{1, 2, 3, 4, 5}
-	s.Set(7, mod)
-	if s.At(7) != mod {
-		t.Fatalf("Set/At: got %v, want %v", s.At(7), mod)
 	}
 
 	dst := NewStateSoA(n)
@@ -56,129 +39,4 @@ func TestStateSoARoundTrip(t *testing.T) {
 	if s.At(1) == (State{}) || s.At(5) == (State{}) {
 		t.Fatal("ZeroRange cleared outside its range")
 	}
-}
-
-// TestSoAKernelsBitwiseMatchAoS drives the full kernel sequence of one RK
-// stage — init, zeroing, convective flux, both dissipation passes,
-// spectral radii, time steps, residual combine, one smoothing sweep and
-// both update forms — through the AoS range kernels and their SoA
-// counterparts on the same mesh and field, asserting bitwise-identical
-// results everywhere. This is the contract the parallel executor's SoA
-// hot path rests on: the component streams change the memory layout, not
-// one floating-point operation.
-func TestSoAKernelsBitwiseMatchAoS(t *testing.T) {
-	dA, w := kernelFixture(t)
-	dB := NewDisc(dA.M, dA.P)
-	nv := dA.M.NV()
-	edges, faces := allEdges(dA), allFaces(dA)
-
-	sameF := func(name string, a, b []float64) {
-		t.Helper()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: vertex %d: %v (AoS) vs %v (SoA)", name, i, a[i], b[i])
-			}
-		}
-	}
-	sameS := func(name string, aos []State, soa *StateSoA) {
-		t.Helper()
-		for i := range aos {
-			if got := soa.At(i); aos[i] != got {
-				t.Fatalf("%s: vertex %d: %v (AoS) vs %v (SoA)", name, i, aos[i], got)
-			}
-		}
-	}
-
-	// Init: snapshot + pressures + lam reset.
-	w0A := make([]State, nv)
-	dA.StepInitKernel(w, w0A, 0, nv)
-	wS, w0S := NewStateSoA(nv), NewStateSoA(nv)
-	dB.StepInitSoAKernel(w, wS, w0S, 0, nv)
-	sameS("init w", w, wS)
-	sameS("init w0", w0A, w0S)
-	sameF("init pres", dA.Pres(), dB.Pres())
-
-	// Stage zeroing (AoS zeroes d.lapl internally; SoA takes the block).
-	convA, dissA := make([]State, nv), make([]State, nv)
-	dA.StageZeroKernel(convA, dissA, true, 0, nv)
-	convS, dissS, laplS := NewStateSoA(nv), NewStateSoA(nv), NewStateSoA(nv)
-	dB.StageZeroSoAKernel(convS, dissS, laplS, true, 0, nv)
-
-	// Convective flux + boundary closure.
-	dA.ConvectiveEdgesKernel(w, convA, edges)
-	dA.BoundaryFluxKernel(w, convA, faces)
-	dB.ConvectiveEdgesSoAKernel(wS, convS, edges)
-	dB.BoundaryFluxSoAKernel(wS, convS, faces)
-	sameS("convective", convA, convS)
-
-	// Dissipation: Laplacian + sensor, switch, blended flux.
-	dA.DissPass1Kernel(w, dA.Lapl(), dA.Sensor(), dA.Den(), edges)
-	dB.DissPass1SoAKernel(wS, laplS, dB.Sensor(), dB.Den(), edges)
-	sameS("laplacian", dA.Lapl(), laplS)
-	sameF("sensor", dA.Sensor(), dB.Sensor())
-	sameF("den", dA.Den(), dB.Den())
-	dA.NuRangeKernel(dA.Sensor(), dA.Den(), 0, nv)
-	dB.NuRangeKernel(dB.Sensor(), dB.Den(), 0, nv)
-	dA.DissPass2Kernel(w, dA.Lapl(), dissA, dA.Sensor(), edges)
-	dB.DissPass2SoAKernel(wS, laplS, dissS, dB.Sensor(), edges)
-	sameS("dissipation", dissA, dissS)
-
-	// Spectral radii and local time steps.
-	dA.LambdaEdgesKernel(w, dA.Lam(), edges)
-	dA.LambdaBFacesKernel(w, dA.Lam(), faces)
-	dB.LambdaEdgesSoAKernel(wS, dB.Lam(), edges)
-	dB.LambdaBFacesSoAKernel(wS, dB.Lam(), faces)
-	sameF("lambda", dA.Lam(), dB.Lam())
-	dA.DtRangeKernel(dA.Lam(), 0, nv)
-	dB.DtRangeKernel(dB.Lam(), 0, nv)
-	sameF("dt", dA.Dt, dB.Dt)
-
-	// Residual combine, with and without forcing, both output layouts.
-	forcing := make([]State, nv)
-	for i := range forcing {
-		forcing[i] = State{1e-3, -2e-3, 3e-3, -4e-3, 5e-3}
-	}
-	resA := make([]State, nv)
-	resS := NewStateSoA(nv)
-	dA.CombineResidualKernel(resA, convA, dissA, forcing, 0, nv)
-	dB.CombineResidualSoAKernel(resS, convS, dissS, forcing, 0, nv)
-	sameS("residual+forcing", resA, resS)
-	resOut := make([]State, nv)
-	dB.CombineResidualOutKernel(resOut, convS, dissS, forcing, 0, nv)
-	for i := range resA {
-		if resA[i] != resOut[i] {
-			t.Fatalf("residual-out: vertex %d: %v vs %v", i, resA[i], resOut[i])
-		}
-	}
-	dA.CombineResidualKernel(resA, convA, dissA, nil, 0, nv)
-	dB.CombineResidualSoAKernel(resS, convS, dissS, nil, 0, nv)
-	sameS("residual", resA, resS)
-
-	// One Jacobi smoothing sweep.
-	rhsA, nextA := make([]State, nv), make([]State, nv)
-	copy(rhsA, resA)
-	dA.SmoothAccumKernel(resA, nextA, edges)
-	dA.SmoothCombineKernel(rhsA, nextA, dA.P.EpsSmooth, 0, nv)
-	rhsS, nextS := NewStateSoA(nv), NewStateSoA(nv)
-	rhsS.CopyRange(resS, 0, nv)
-	dB.SmoothAccumSoAKernel(resS, nextS, edges)
-	dB.SmoothCombineSoAKernel(rhsS, nextS, dA.P.EpsSmooth, 0, nv)
-	sameS("smoothing", nextA, nextS)
-
-	// Both update forms: final stage scattering to []State, and the fused
-	// intermediate stage with its pressure refresh.
-	const alpha = 0.5
-	wOutA := make([]State, nv)
-	dA.UpdateRangeKernel(wOutA, w0A, resA, alpha, 0, nv)
-	wOutS := make([]State, nv)
-	dB.UpdateFinalSoAKernel(wOutS, w0S, resS, alpha, 0, nv)
-	for i := range wOutA {
-		if wOutA[i] != wOutS[i] {
-			t.Fatalf("update-final: vertex %d: %v vs %v", i, wOutA[i], wOutS[i])
-		}
-	}
-	dA.PressureRangeKernel(wOutA, 0, nv)
-	dB.UpdateNextSoAKernel(wS, w0S, resS, alpha, 0, nv)
-	sameS("update-next", wOutA, wS)
-	sameF("update-next pres", dA.Pres(), dB.Pres())
 }

@@ -17,9 +17,9 @@ import (
 // serial-cutoff inline path must produce bitwise-identical residual
 // histories and solutions from the scenario's initial state. The presets
 // run with ConvexLimit and (for the unsteady ones) GlobalDt, so this is
-// the bitwise check of the limiter across the AoS and SoA kernel families
-// — the startup transient of the Sod diaphragm exercises the limited
-// branch, not just the admissible fast path.
+// the bitwise check of the limiter across the sequential []State loops and
+// the SoA range kernels — the startup transient of the Sod diaphragm
+// exercises the limited branch, not just the admissible fast path.
 func TestScenarioConformance(t *testing.T) {
 	for _, name := range scenario.Names() {
 		sc, err := scenario.Get(name)

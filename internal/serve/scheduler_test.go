@@ -36,7 +36,9 @@ func TestSchedulerConcurrentMixedJobs(t *testing.T) {
 	for _, j := range blockers {
 		waitState(t, j, StateRunning)
 	}
-	waitCycles(t, blockers[0], 1)
+	// Concurrent hits serialize on the engine lease, so only the blocker
+	// that leased the engine first is solving; the other waits on it.
+	waitAnyCycles(t, blockers, 1)
 
 	// Fill the bounded queue: two more identical-mesh jobs (cache hits once
 	// they run; one cycle apart so they queue rather than coalesce), one

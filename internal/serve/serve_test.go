@@ -57,3 +57,19 @@ func waitCycles(t *testing.T, j *Job, n int) {
 	}
 	t.Fatalf("job %s reached only %d cycles, want >= %d", j.ID, j.View().Cycles, n)
 }
+
+// waitAnyCycles polls until one of the jobs has recorded at least n
+// residual norms.
+func waitAnyCycles(t *testing.T, js []*Job, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, j := range js {
+			if j.View().Cycles >= n {
+				return
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("no job reached %d cycles", n)
+}

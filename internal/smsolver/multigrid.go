@@ -327,9 +327,12 @@ func (mg *Multigrid) cycle(l int) float64 {
 
 	// Smooth the prolonged correction (the implicit averaging operator
 	// doubles as the correction smoother) and apply it under the
-	// positivity guard.
-	e.smooth(lev.eng, lev.Corr)
-	e.vertexOp(tApplyCorr, lev.eng, lev.W, lev.Corr, nil)
+	// positivity guard. The smoothing runs on the level's SoA residual
+	// block, which is free here: the step that last wrote it has finished
+	// and the standalone residual writes lev.eng.res.
+	e.vertexOp(tLoadCorr, lev.eng, lev.Corr, nil, nil)
+	e.smoothSoA(lev.eng)
+	e.vertexOp(tApplyCorr, lev.eng, lev.W, nil, nil)
 	mg.tick(4*l+3, mg.corrFl[l], &t)
 	return norm
 }

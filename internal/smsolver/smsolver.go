@@ -18,12 +18,13 @@
 // prebuilt per-color chunk tables balanced by element count; adjacent
 // zero/copy sweeps are fused into the neighbouring vertex kernels and all
 // scratch is solver-owned, so a steady-state Step (and multigrid Cycle)
-// performs zero heap allocations. The hot path — flux and dissipation
-// accumulation over the colored edge groups, the Jacobi smoothing sweeps,
-// and the fused vertex updates — runs on a structure-of-arrays state
-// layout (euler.StateSoA: five contiguous component streams instead of
-// 40-byte records), converting from the public []State interfaces inside
-// the fused preamble and update sweeps; the per-block residual-norm
+// performs zero heap allocations. Every kernel — flux and dissipation
+// accumulation over the colored edge groups, the Jacobi smoothing sweeps
+// (one routine, for step residuals and multigrid corrections alike), and
+// the fused vertex updates — runs on a structure-of-arrays state layout
+// (euler.StateSoA: five contiguous component streams instead of 40-byte
+// records), converting from the public []State interfaces inside the
+// fused load, update and residual-output sweeps; the per-block residual-norm
 // partials are padded to cache-line boundaries so concurrent block writers
 // never share a line. Grid levels below SerialCutoffEdges skip the
 // fork/join barrier entirely and run every region inline on the caller —
@@ -79,14 +80,10 @@ const (
 	tCombine                        // resS = convS - dissS (+ forcing), SoA
 	tCombineOut                     // res = convS - dissS (+ forcing), []State out
 	tNorm                           // block partial sums of the residual norm
-	tSmoothStart                    // rhs copy + first-sweep zeroing (fused, []State)
-	tSmoothAccum                    // colored: Jacobi neighbour gather ([]State)
-	tSmoothCombine                  // Jacobi combine + next-sweep zeroing (fused, []State)
-	tCopyRes                        // copy smoothed result back ([]State, odd sweep counts)
-	tSmoothStartS                   // rhs copy + first-sweep zeroing (fused, SoA)
-	tSmoothAccumS                   // colored: Jacobi neighbour gather (SoA)
-	tSmoothCombineS                 // Jacobi combine + next-sweep zeroing (fused, SoA)
-	tCopyResS                       // copy smoothed result back (SoA, odd sweep counts)
+	tSmoothStartS                   // rhs copy + first-sweep zeroing (fused)
+	tSmoothAccumS                   // colored: Jacobi neighbour gather
+	tSmoothCombineS                 // Jacobi combine + next-sweep zeroing (fused)
+	tCopyResS                       // copy smoothed result back (odd sweep counts)
 	tUpdate                         // RK update scattered to []State (final stage)
 	tUpdateNext                     // RK update + next-stage pressures + zeroing (fused, SoA)
 	tResInit                        // SoA load + pressures + accumulator zeroing (standalone residual)
@@ -94,6 +91,7 @@ const (
 	tScatter                        // destination-grouped residual restriction rows
 	tRepairSave                     // repair restricted states + snapshot (fused)
 	tCorrDelta                      // coarse correction delta W - WSaved
+	tLoadCorr                       // SoA load of a prolonged correction into resS
 	tForcingSub                     // FAS forcing P = R' - R(w')
 	tApplyCorr                      // guarded application of the prolonged correction
 )
@@ -135,12 +133,14 @@ type normSlot struct {
 // Solver owns one; a Multigrid owns one per level, all driven by the same
 // engine (and thus the same parked workers).
 //
-// The step-path scratch is SoA (euler.StateSoA): the solution block wS and
-// stage-0 snapshot w0S are loaded from the caller's []State in the fused
-// init sweep, the edge kernels accumulate into convS/dissS/laplS, the
-// smoother ping-pongs resS against smoothS, and the final-stage update
-// scatters straight back to []State. res keeps the []State layout because
-// the multigrid transfer operators consume it directly.
+// The scratch is SoA (euler.StateSoA): the solution block wS and stage-0
+// snapshot w0S are loaded from the caller's []State in the fused init
+// sweep, the edge kernels accumulate into convS/dissS/laplS, the smoother
+// ping-pongs resS against smoothS, and the final-stage update scatters
+// straight back to []State. Between steps resS is free, so the pooled
+// multigrid loads a prolonged correction into it and smooths it on the
+// same path. res keeps the []State layout because the multigrid transfer
+// operators consume it directly.
 type levelEngine struct {
 	d          *euler.Disc
 	edgeColors *color.Coloring
@@ -149,10 +149,10 @@ type levelEngine struct {
 	wS, w0S      *euler.StateSoA
 	convS, dissS *euler.StateSoA
 	resS, laplS  *euler.StateSoA
-	smoothS      *euler.StateSoA // SoA smoothing ping-pong scratch
-	rhsS         *euler.StateSoA // SoA smoothing right-hand side
+	smoothS      *euler.StateSoA // smoothing ping-pong scratch
+	rhsS         *euler.StateSoA // smoothing right-hand side
 
-	res         []euler.State // standalone-residual output (AoS, fed to transfers)
+	res         []euler.State // standalone-residual output ([]State, fed to transfers)
 	normPartial []normSlot
 
 	// Prebuilt chunk tables: per-worker vertex and norm-block ranges, and
@@ -291,20 +291,17 @@ type engine struct {
 	// Job descriptor for the current parallel region, published before the
 	// fork and read by the workers (the fork/join barrier orders both
 	// directions).
-	job       taskKind
-	group     int           // color group for colored tasks
-	alpha     float64       // RK stage coefficient
-	eps       float64       // residual-averaging coefficient
-	zeroDiss  bool          // tDtZero/tUpdateNext: also zero dissipation arrays
-	zeroCur   bool          // tSmoothCombine(+S): also zero the next sweep's target
-	w         []euler.State // solution being advanced
-	forcing   []euler.State
-	cur, next []euler.State // residual-averaging ping-pong ([]State, corrections)
-	smTarget  []euler.State // []State array being smoothed (a correction)
+	job      taskKind
+	group    int           // color group for colored tasks
+	alpha    float64       // RK stage coefficient
+	eps      float64       // residual-averaging coefficient
+	zeroDiss bool          // tDtZero/tUpdateNext: also zero dissipation arrays
+	zeroCur  bool          // tSmoothCombineS: also zero the next sweep's target
+	w        []euler.State // solution being advanced
+	forcing  []euler.State
 
-	// SoA residual-averaging ping-pong (the step path smooths resS).
+	// Residual-averaging ping-pong between the level's resS and smoothS.
 	curS, nextS *euler.StateSoA
-	smTargetS   *euler.StateSoA
 
 	// Generic per-vertex operands (tRepairSave/tCorrDelta/tForcingSub/
 	// tApplyCorr) and the inter-grid transfer descriptor.
@@ -415,28 +412,9 @@ func (e *engine) exec(wk int) {
 			}
 			lev.normPartial[b].v = sum
 		}
-	case tSmoothStart:
-		sp := lev.vertSpans[wk]
-		copy(d.RHSScratch()[sp.lo:sp.hi], e.smTarget[sp.lo:sp.hi])
-		zero(e.next[sp.lo:sp.hi])
-	case tSmoothAccum:
-		sp := lev.edgeSpans[e.group][wk]
-		d.SmoothAccumKernel(e.cur, e.next, lev.edgeColors.Order[sp.lo:sp.hi])
-	case tSmoothCombine:
-		sp := lev.vertSpans[wk]
-		d.SmoothCombineKernel(d.RHSScratch(), e.next, e.eps, sp.lo, sp.hi)
-		if e.zeroCur {
-			// cur has been fully gathered (barrier before this region) and
-			// becomes the next sweep's accumulation target: zero it here
-			// instead of in a sweep of its own.
-			zero(e.cur[sp.lo:sp.hi])
-		}
-	case tCopyRes:
-		sp := lev.vertSpans[wk]
-		copy(e.smTarget[sp.lo:sp.hi], e.cur[sp.lo:sp.hi])
 	case tSmoothStartS:
 		sp := lev.vertSpans[wk]
-		lev.rhsS.CopyRange(e.smTargetS, sp.lo, sp.hi)
+		lev.rhsS.CopyRange(lev.resS, sp.lo, sp.hi)
 		e.nextS.ZeroRange(sp.lo, sp.hi)
 	case tSmoothAccumS:
 		sp := lev.edgeSpans[e.group][wk]
@@ -445,11 +423,14 @@ func (e *engine) exec(wk int) {
 		sp := lev.vertSpans[wk]
 		d.SmoothCombineSoAKernel(lev.rhsS, e.nextS, e.eps, sp.lo, sp.hi)
 		if e.zeroCur {
+			// cur has been fully gathered (barrier before this region) and
+			// becomes the next sweep's accumulation target: zero it here
+			// instead of in a sweep of its own.
 			e.curS.ZeroRange(sp.lo, sp.hi)
 		}
 	case tCopyResS:
 		sp := lev.vertSpans[wk]
-		e.smTargetS.CopyRange(e.curS, sp.lo, sp.hi)
+		lev.resS.CopyRange(e.curS, sp.lo, sp.hi)
 	case tUpdate:
 		sp := lev.vertSpans[wk]
 		d.UpdateFinalSoAKernel(e.w, lev.w0S, lev.resS, e.alpha, sp.lo, sp.hi)
@@ -488,24 +469,22 @@ func (e *engine) exec(wk int) {
 				e.va[i][k] -= e.vb[i][k]
 			}
 		}
+	case tLoadCorr:
+		sp := lev.vertSpans[wk]
+		lev.resS.FromStates(e.va, sp.lo, sp.hi)
 	case tApplyCorr:
 		sp := lev.vertSpans[wk]
+		corr := &lev.resS.Comp
 		for i := sp.lo; i < sp.hi; i++ {
 			var cand euler.State
 			for k := 0; k < euler.NVar; k++ {
-				cand[k] = e.va[i][k] + e.vb[i][k]
+				cand[k] = e.va[i][k] + corr[k][i]
 			}
 			if !d.P.Guard(cand) {
 				continue // positivity guard: skip the correction at this vertex
 			}
 			e.va[i] = cand
 		}
-	}
-}
-
-func zero(a []euler.State) {
-	for i := range a {
-		a[i] = euler.State{}
 	}
 }
 
@@ -573,7 +552,7 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 		}
 		e.tick(phResidual, lev.flCombine, &t)
 
-		e.smoothSoA(lev, lev.resS)
+		e.smoothSoA(lev)
 		e.tick(phSmoothing, lev.flSmooth, &t)
 
 		e.alpha = alpha
@@ -633,46 +612,21 @@ func (e *engine) residualNorm(lev *levelEngine) float64 {
 	return math.Sqrt(sum / float64(lev.d.M.NV()))
 }
 
-// smooth applies the implicit residual averaging with colored parallel
-// sweeps on a []State target (a prolonged multigrid correction; the step
-// path smooths the SoA residual via smoothSoA). The right-hand-side copy,
-// the first sweep's zeroing and each following sweep's zeroing ride along
-// on neighbouring vertex sweeps.
-func (e *engine) smooth(lev *levelEngine, target []euler.State) {
+// smoothSoA applies the implicit residual averaging in place to lev.resS —
+// the step's combined residual, or a prolonged multigrid correction loaded
+// there — with colored parallel Jacobi sweeps, ping-ponging resS against
+// the level's smoothS scratch. The right-hand-side copy, the first sweep's
+// zeroing and each following sweep's zeroing ride along on neighbouring
+// vertex sweeps; an odd sweep count copies the result back into resS.
+func (e *engine) smoothSoA(lev *levelEngine) {
 	d := lev.d
 	eps := d.P.EpsSmooth
-	if eps == 0 || d.P.NSmooth == 0 || len(target) == 0 {
+	if eps == 0 || d.P.NSmooth == 0 || d.M.NV() == 0 {
 		return
 	}
 	e.lev = lev
 	e.eps = eps
-	e.smTarget = target
-	e.cur, e.next = target, d.SmoothScratch()
-	e.fork(tSmoothStart, 0, lev.vertActive)
-	for sweep := 0; sweep < d.P.NSmooth; sweep++ {
-		e.coloredEdges(tSmoothAccum)
-		e.zeroCur = sweep+1 < d.P.NSmooth
-		e.fork(tSmoothCombine, 0, lev.vertActive)
-		e.cur, e.next = e.next, e.cur
-	}
-	if &e.cur[0] != &target[0] {
-		e.fork(tCopyRes, 0, lev.vertActive)
-	}
-	e.smTarget = nil
-}
-
-// smoothSoA is smooth for the SoA step path: identical sweep structure on
-// the SoA layout, ping-ponging target against the level's SoA scratch.
-func (e *engine) smoothSoA(lev *levelEngine, target *euler.StateSoA) {
-	d := lev.d
-	eps := d.P.EpsSmooth
-	if eps == 0 || d.P.NSmooth == 0 || target.Len() == 0 {
-		return
-	}
-	e.lev = lev
-	e.eps = eps
-	e.smTargetS = target
-	e.curS, e.nextS = target, lev.smoothS
+	e.curS, e.nextS = lev.resS, lev.smoothS
 	e.fork(tSmoothStartS, 0, lev.vertActive)
 	for sweep := 0; sweep < d.P.NSmooth; sweep++ {
 		e.coloredEdges(tSmoothAccumS)
@@ -680,10 +634,9 @@ func (e *engine) smoothSoA(lev *levelEngine, target *euler.StateSoA) {
 		e.fork(tSmoothCombineS, 0, lev.vertActive)
 		e.curS, e.nextS = e.nextS, e.curS
 	}
-	if e.curS != target {
+	if e.curS != lev.resS {
 		e.fork(tCopyResS, 0, lev.vertActive)
 	}
-	e.smTargetS = nil
 }
 
 // interp runs an inter-grid interpolation chunked over the target range

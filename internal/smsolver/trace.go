@@ -33,10 +33,6 @@ var taskNames = [...]string{
 	tCombine:        "combine",
 	tCombineOut:     "combine-out",
 	tNorm:           "norm",
-	tSmoothStart:    "smooth-start",
-	tSmoothAccum:    "smooth-accum",
-	tSmoothCombine:  "smooth-combine",
-	tCopyRes:        "copy-res",
 	tSmoothStartS:   "smooth-start",
 	tSmoothAccumS:   "smooth-accum",
 	tSmoothCombineS: "smooth-combine",
@@ -48,6 +44,7 @@ var taskNames = [...]string{
 	tScatter:        "scatter",
 	tRepairSave:     "repair-save",
 	tCorrDelta:      "corr-delta",
+	tLoadCorr:       "load-corr",
 	tForcingSub:     "forcing-sub",
 	tApplyCorr:      "apply-corr",
 }

@@ -37,9 +37,20 @@ func TestCrossEngineConformance(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		gamma, levels int
+		tune          func(*euler.Params) // optional deviation from the defaults
 	}{
-		{"V-cycle-2-levels", 1, 2},
-		{"W-cycle-3-levels", 2, 3},
+		{"V-cycle-2-levels", 1, 2, nil},
+		{"W-cycle-3-levels", 2, 3, nil},
+		// An odd sweep count leaves the smoothed residual and correction in
+		// the ping-pong scratch, so the copy-back runs on both paths.
+		{"W-cycle-3-levels-odd-smoothing", 2, 3, func(p *euler.Params) { p.NSmooth = 3 }},
+		// No residual averaging: raw residuals and raw corrections. The
+		// default CFL leans on the averaging for stability (unsmoothed,
+		// this mesh's residual grows more than fivefold within five
+		// cycles), so the row runs at an unsmoothed-stable CFL.
+		{"W-cycle-3-levels-unsmoothed", 2, 3, func(p *euler.Params) {
+			p.EpsSmooth, p.NSmooth, p.CFL = 0, 0, 2
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The conformance meshes sit below the engine's default
@@ -64,6 +75,9 @@ func TestCrossEngineConformance(t *testing.T) {
 				cols[i] = smsolver.Colorings{Edges: ec, Faces: fc}
 			}
 			p := euler.DefaultParams(0.675, 0)
+			if tc.tune != nil {
+				tc.tune(&p)
+			}
 			const cycles = 5
 
 			// Reference: the serial FAS multigrid.
