@@ -12,17 +12,19 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-bearing packages: the simulated interconnect,
-# the PARTI executors with self-healing receives, the MIMD solver with its
-# recovery orchestrator, the shared-memory worker-pool engine (single-grid
-# and pooled multigrid, V- and W-cycles), the transfer operators the
-# pooled multigrid scatters in parallel, the flight-recorder tracer
+# the PARTI executors with self-healing receives, the goroutine-per-
+# processor distributed solver with its recovery orchestrator, the
+# shared-memory worker-pool engine (single-grid and pooled multigrid, V-
+# and W-cycles), the cross-engine conformance suite that runs the pooled
+# and distributed engines on one mesh, the transfer operators the pooled
+# multigrid scatters in parallel, the flight-recorder tracer
 # whose rings are written from every worker concurrently, the cluster
 # coordinator with its health monitors and handoff machinery, the
 # scenario harness that drives every engine over the presets, the
 # content-addressed artifact store hit from every HTTP handler at once,
 # and the adaptive driver that rebuilds the pooled engine between epochs.
 race:
-	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/...
+	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/solver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/...
 
 # End-to-end serving smoke: build eul3dd, start it on a random port, run a
 # channel-mesh job to completion, check /metrics, then SIGTERM it mid-job

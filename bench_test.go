@@ -229,8 +229,8 @@ func BenchmarkSharedMemoryStep(b *testing.B) {
 }
 
 // BenchmarkDistributedCycle measures one distributed single-grid cycle on
-// 16 simulated nodes, including all PARTI exchanges (sequential
-// orchestration; the concurrent MIMD mode moves identical traffic).
+// 16 simulated nodes (one goroutine each), including all PARTI exchanges
+// and the barriers between their send and receive halves.
 func BenchmarkDistributedCycle(b *testing.B) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
 	if err != nil {

@@ -67,7 +67,6 @@ func main() {
 		adaptFrac = flag.Float64("adapt-frac", 0.1, "with -adapt: fraction of cells marked per epoch")
 
 		nproc     = flag.Int("nproc", 0, "simulated processors for the distributed solver (0 = in-process sequential solver)")
-		mimd      = flag.Bool("mimd", false, "with -nproc: run one goroutine per simulated processor (true MIMD mode)")
 		faultSpec = flag.String("faults", "", "with -nproc: seeded fault-injection spec, e.g. seed=7,drop=2,dup=1,corrupt=1,delay=1,reorder=1,crash=2@40")
 		ckptPath  = flag.String("checkpoint", "", "write periodic atomic checkpoints to this file")
 		ckptEvery = flag.Int("checkpoint-every", 25, "cycles between checkpoints (with -checkpoint)")
@@ -198,7 +197,7 @@ func main() {
 	}
 	if *nproc > 0 {
 		runDistributed(p, loadSeq, ck, distOpts{
-			strategy: *strategy, levels: *levels, nproc: *nproc, mimd: *mimd,
+			strategy: *strategy, levels: *levels, nproc: *nproc,
 			faults: *faultSpec, cycles: *cycles, tol: *tol, logEvery: *logEvery,
 			ckptPath: *ckptPath, ckptEvery: *ckptEvery,
 			mach: *mach, alpha: *alpha,
@@ -379,7 +378,6 @@ type distOpts struct {
 	strategy  string
 	levels    int
 	nproc     int
-	mimd      bool
 	faults    string
 	cycles    int
 	tol       float64
@@ -449,11 +447,7 @@ func runDistributed(p euler.Params, loadSeq func(int) ([]*mesh.Mesh, error), ck 
 		fmt.Printf("fault injection armed: %s\n", o.faults)
 	}
 
-	mode := "sequential orchestration"
-	if o.mimd {
-		mode = "MIMD (goroutine per processor)"
-	}
-	fmt.Printf("distributed solve: %d simulated processors, %s\n", o.nproc, mode)
+	fmt.Printf("distributed solve: %d simulated processors, one goroutine each\n", o.nproc)
 
 	incident := ""
 	if o.tracer != nil {
@@ -467,7 +461,6 @@ func runDistributed(p euler.Params, loadSeq func(int) ([]*mesh.Mesh, error), ck 
 		Tolerance:       o.tol,
 		LogEvery:        o.logEvery,
 		Log:             os.Stdout,
-		Concurrent:      o.mimd,
 		CheckpointEvery: o.ckptEvery,
 		CheckpointPath:  o.ckptPath,
 		Mach:            o.mach,

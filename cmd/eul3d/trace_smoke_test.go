@@ -59,12 +59,12 @@ func TestTraceSmoke(t *testing.T) {
 	}
 	validate(smTrace, "phases", "w0", "w1", "w2")
 
-	// 2. Distributed run with an injected node crash: the comm timeline and
-	// per-proc tracks in the main trace, plus the automatic incident dump
+	// 2. Distributed run with an injected node crash: the per-proc
+	// timelines in the main trace, plus the automatic incident dump
 	// fired by the crash recovery.
 	dmTrace := filepath.Join(dir, "dm.json")
 	dm := exec.Command(bin, "-nx", "8", "-ny", "4", "-nz", "3", "-strategy", "single",
-		"-nproc", "3", "-mimd", "-cycles", "10", "-tol", "0", "-log-every", "0",
+		"-nproc", "3", "-cycles", "10", "-tol", "0", "-log-every", "0",
 		"-checkpoint-every", "2", "-faults", "seed=7,crash=1@4", "-trace", dmTrace)
 	out, err := dm.CombinedOutput()
 	if err != nil {

@@ -61,7 +61,8 @@ func main() {
 	_, reused := parti.BuildIncremental(gs, refs)
 	fmt.Printf("incremental schedule for the dissipation loops: %d references reused, 0 new\n", reused)
 
-	// Run distributed vs sequential and compare.
+	// Run distributed (one goroutine per node, barrier-synchronized
+	// exchanges) vs sequential and compare.
 	params := euler.DefaultParams(0.675, 0)
 	dm, err := dmsolver.NewSingle(m, part, nodes, params)
 	if err != nil {
@@ -83,28 +84,6 @@ func main() {
 		}
 	}
 
-	// Concurrent MIMD mode: one goroutine per node, barrier-synchronized
-	// exchanges — bitwise identical to the sequential orchestration.
-	dmc, err := dmsolver.NewSingle(m, part, nodes, params)
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical := true
-	for c := 0; c < cycles; c++ {
-		if _, err := dmc.CycleConcurrent(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	wc := dmc.GatherSolution()
-	wd := dm.GatherSolution()
-	for i := range wc {
-		if wc[i] != wd[i] {
-			identical = false
-			break
-		}
-	}
-	fmt.Printf("\nconcurrent MIMD mode (goroutine per node): bitwise identical = %v\n", identical)
-
 	// Max deviation between the two solutions.
 	wdm := dm.GatherSolution()
 	worst := 0.0
@@ -113,11 +92,11 @@ func main() {
 			worst = math.Max(worst, math.Abs(wdm[i][k]-wseq[i][k]))
 		}
 	}
-	fmt.Printf("\nmax |distributed - sequential| after %d cycles: %.2e\n", cycles, worst)
+	fmt.Printf("max |distributed - sequential| after %d cycles: %.2e\n", cycles, worst)
 
 	msgs, bytes := dm.Fabric.TotalStats()
 	fmt.Printf("traffic: %d messages, %.2f MB over %d cycles (%.1f kB/node/cycle)\n",
 		msgs, float64(bytes)/1e6, cycles,
 		float64(bytes)/1e3/float64(nodes)/float64(cycles))
-	fmt.Printf("exchange phases per cycle: %+v\n", dm.Comm)
+	fmt.Printf("exchange phases over %d cycles: %+v\n", cycles, dm.Comm)
 }

@@ -10,17 +10,16 @@ import (
 	"eul3d/internal/simnet"
 )
 
-// Concurrent MIMD execution: every simulated processor runs the whole
-// cycle in its own goroutine — the same per-processor loop bodies as the
-// sequential orchestration — exchanging data through per-processor
-// schedule halves separated by a barrier (all sends complete before any
-// receive matches, the bulk-synchronous discipline of the NX message
-// layer). Because message contents and per-processor arithmetic are
-// identical to the sequential mode, CycleConcurrent produces bitwise
-// identical results to Cycle.
+// The distributed cycle: every simulated processor runs the whole cycle in
+// its own goroutine — the per-processor loop bodies of ops.go — and
+// exchanges data through per-processor schedule halves separated by a
+// barrier (all sends complete before any receive matches, the
+// bulk-synchronous discipline of the NX message layer). This is the MIMD
+// execution of the paper's Touchstone Delta port: the same cycle on every
+// node, with exchanges only at the PARTI gather/scatter points.
 
-// concRun holds the shared state of one concurrent cycle.
-type concRun struct {
+// cycleRun holds the shared state of one cycle.
+type cycleRun struct {
 	s        *Solver
 	bar      *simnet.Barrier
 	mu       sync.Mutex
@@ -29,7 +28,7 @@ type concRun struct {
 }
 
 // fail records the first error.
-func (r *concRun) fail(err error) {
+func (r *cycleRun) fail(err error) {
 	if err == nil {
 		return
 	}
@@ -45,7 +44,7 @@ func (r *concRun) fail(err error) {
 // and shared with all (Barrier.AwaitCheck), so every processor takes the
 // same continue/bail decision and the bulk-synchronous control flow stays
 // in lockstep even when an error lands mid-phase.
-func (r *concRun) sync() bool {
+func (r *cycleRun) sync() bool {
 	return r.bar.AwaitCheck(func() bool {
 		r.mu.Lock()
 		ok := r.err == nil
@@ -58,7 +57,7 @@ func (r *concRun) sync() bool {
 // tracer attached it lays processor p's timeline down as it goes: the
 // compute span closing the gap since p's previous exchange, the send and
 // receive halves, and the bulk-synchronous barrier waits between them.
-func (r *concRun) exchange(p, kind int, send, recv func() error) bool {
+func (r *cycleRun) exchange(p, kind int, send, recv func() error) bool {
 	st := r.s.st
 	if st == nil {
 		r.fail(send())
@@ -93,7 +92,7 @@ func (r *concRun) exchange(p, kind int, send, recv func() error) bool {
 	return ok
 }
 
-func (r *concRun) gatherStates(sch *parti.Schedule, p int, data [][]euler.State) bool {
+func (r *cycleRun) gatherStates(sch *parti.Schedule, p int, data [][]euler.State) bool {
 	f := r.s.Fabric
 	return r.exchange(p, exGatherState,
 		func() error { return sch.SendGatherStates(f, p, data) },
@@ -101,7 +100,7 @@ func (r *concRun) gatherStates(sch *parti.Schedule, p int, data [][]euler.State)
 	)
 }
 
-func (r *concRun) scatterStates(sch *parti.Schedule, p int, data [][]euler.State) bool {
+func (r *cycleRun) scatterStates(sch *parti.Schedule, p int, data [][]euler.State) bool {
 	f := r.s.Fabric
 	return r.exchange(p, exScatterState,
 		func() error { return sch.SendScatterStates(f, p, data) },
@@ -109,7 +108,7 @@ func (r *concRun) scatterStates(sch *parti.Schedule, p int, data [][]euler.State
 	)
 }
 
-func (r *concRun) gatherFloats(sch *parti.Schedule, p int, data [][]float64) bool {
+func (r *cycleRun) gatherFloats(sch *parti.Schedule, p int, data [][]float64) bool {
 	f := r.s.Fabric
 	return r.exchange(p, exGatherFloat,
 		func() error { return sch.SendGatherFloats(f, p, data) },
@@ -117,7 +116,7 @@ func (r *concRun) gatherFloats(sch *parti.Schedule, p int, data [][]float64) boo
 	)
 }
 
-func (r *concRun) scatterFloats(sch *parti.Schedule, p int, data [][]float64) bool {
+func (r *cycleRun) scatterFloats(sch *parti.Schedule, p int, data [][]float64) bool {
 	f := r.s.Fabric
 	return r.exchange(p, exScatterFloat,
 		func() error { return sch.SendScatterFloats(f, p, data) },
@@ -126,15 +125,15 @@ func (r *concRun) scatterFloats(sch *parti.Schedule, p int, data [][]float64) bo
 }
 
 // count bumps the communication counters once per collective (processor 0
-// stands in for the bookkeeping the sequential mode does globally).
-func (r *concRun) count(p int, f func(c *CommCounters)) {
+// keeps the global tally).
+func (r *cycleRun) count(p int, f func(c *CommCounters)) {
 	if p == 0 {
 		f(&r.s.Comm)
 	}
 }
 
 // dissipationProc is the per-processor dissipation phase with exchanges.
-func (r *concRun) dissipationProc(lev *Level, p int) bool {
+func (r *cycleRun) dissipationProc(lev *Level, p int) bool {
 	s := r.s
 	s.dissPass1Proc(lev, p)
 	r.count(p, func(c *CommCounters) { c.ScatterState++; c.ScatterFloat += 2 })
@@ -161,7 +160,7 @@ func (r *concRun) dissipationProc(lev *Level, p int) bool {
 }
 
 // smoothProc is the per-processor residual averaging with exchanges.
-func (r *concRun) smoothProc(lev *Level, p int, arr [][]euler.State) bool {
+func (r *cycleRun) smoothProc(lev *Level, p int, arr [][]euler.State) bool {
 	s := r.s
 	eps := s.P.EpsSmooth
 	if eps == 0 || s.P.NSmooth == 0 {
@@ -188,7 +187,7 @@ func (r *concRun) smoothProc(lev *Level, p int, arr [][]euler.State) bool {
 }
 
 // residualProc computes R = Q - D (+forcing) for processor p's share.
-func (r *concRun) residualProc(lev *Level, p int, withForcing bool) bool {
+func (r *cycleRun) residualProc(lev *Level, p int, withForcing bool) bool {
 	s := r.s
 	r.count(p, func(c *CommCounters) { c.GatherState++ })
 	if !r.gatherStates(lev.SchedW, p, lev.W) {
@@ -209,7 +208,7 @@ func (r *concRun) residualProc(lev *Level, p int, withForcing bool) bool {
 
 // stepProc runs one multistage time step for processor p and returns the
 // global first-stage residual norm (identical on every processor).
-func (r *concRun) stepProc(l, p int) (float64, bool) {
+func (r *cycleRun) stepProc(l, p int) (float64, bool) {
 	s := r.s
 	lev := s.Levels[l]
 	withForcing := l > 0
@@ -269,7 +268,7 @@ func (r *concRun) stepProc(l, p int) (float64, bool) {
 }
 
 // cycleProc is the per-processor FAS multigrid cycle.
-func (r *concRun) cycleProc(l, p int) (float64, bool) {
+func (r *cycleRun) cycleProc(l, p int) (float64, bool) {
 	s := r.s
 	norm, ok := r.stepProc(l, p)
 	if !ok || l == len(s.Levels)-1 {
@@ -329,11 +328,11 @@ func (r *concRun) cycleProc(l, p int) (float64, bool) {
 	return norm, true
 }
 
-// CycleConcurrent performs one solver cycle with a goroutine per simulated
-// processor, returning the fine-grid residual norm. Results are bitwise
-// identical to Cycle.
-func (s *Solver) CycleConcurrent() (float64, error) {
-	r := &concRun{
+// Cycle performs one multigrid cycle (or a plain time step for a single
+// level) with a goroutine per simulated processor and returns the
+// fine-grid residual norm.
+func (s *Solver) Cycle() (float64, error) {
+	r := &cycleRun{
 		s:        s,
 		bar:      simnet.NewBarrier(s.NProc),
 		partials: make([]float64, s.NProc),

@@ -14,7 +14,9 @@
 //   - multigrid transfers use incremental schedules on top of the flow
 //     variable schedule, fetching only addresses not already ghosted.
 //
-// The answers are identical (to roundoff) to the sequential solver; tests
+// Cycle runs one goroutine per simulated processor, each executing the
+// same cycle and meeting the others only at those exchange points. The
+// answers are identical (to roundoff) to the sequential solver; tests
 // assert this.
 package dmsolver
 

@@ -168,27 +168,55 @@ func TestFreestreamNoDrift(t *testing.T) {
 	}
 }
 
+// TestCommCountersAdvance pins the traffic of one cycle on four
+// processors — the exchange counters and the fabric's message and byte
+// totals — for a single-grid step and a three-level W-cycle. Table 2's
+// communication model is computed from exactly these figures.
 func TestCommCountersAdvance(t *testing.T) {
 	m, part := channelAndPartition(t, 8, 5, 4, 4)
 	p := euler.DefaultParams(0.6, 0)
-	dm, err := NewSingle(m, part, 4, p)
+	single, err := NewSingle(m, part, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dm.Cycle(); err != nil {
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(8, 5, 4, 17), 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := dm.Comm
-	// Per 5-stage step: >=5 w gathers, 5 convective scatters, 2 dissipation
-	// rounds, 1 lam scatter, 10 smoothing exchanges.
-	if c.GatherState < 5 || c.ScatterState < 7 || c.ScatterFloat < 1 {
-		t.Errorf("implausible comm counters: %+v", c)
+	g, err := graph.FromEdges(meshes[0].NV(), meshes[0].Edges)
+	if err != nil {
+		t.Fatal(err)
 	}
-	msgs, bytes := dm.Fabric.TotalStats()
-	if msgs == 0 || bytes == 0 {
-		t.Error("no traffic recorded on the fabric")
+	finePart, err := partition.Partition(g, meshes[0].X, 4, partition.Spectral, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("one cycle on 4 procs: %d msgs, %d bytes, counters %+v", msgs, bytes, c)
+	wcycle, err := NewMultigrid(meshes, [][]int32{finePart, nil, nil}, 4, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		s           *Solver
+		want        CommCounters
+		msgs, bytes int64
+	}{
+		// Per 5-stage step: 5 flow gathers, 5 convective scatters, 2
+		// dissipation rounds (2 state and 3 float exchanges each), 1
+		// spectral-radius scatter and 2 smoothing sweeps per stage.
+		{"single-grid", single, CommCounters{GatherState: 17, ScatterState: 19, GatherFloat: 2, ScatterFloat: 5}, 473, 197472},
+		{"W-cycle", wcycle, CommCounters{GatherState: 115, ScatterState: 125, GatherFloat: 16, ScatterFloat: 37}, 3155, 537504},
+	} {
+		if _, err := tc.s.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.s.Comm != tc.want {
+			t.Errorf("%s: counters %+v, want %+v", tc.name, tc.s.Comm, tc.want)
+		}
+		if msgs, bytes := tc.s.Fabric.TotalStats(); msgs != tc.msgs || bytes != tc.bytes {
+			t.Errorf("%s: fabric moved %d msgs, %d bytes; want %d, %d", tc.name, msgs, bytes, tc.msgs, tc.bytes)
+		}
+	}
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -219,48 +247,11 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestConcurrentMatchesSequentialBitwise(t *testing.T) {
-	m, part := channelAndPartition(t, 10, 6, 4, 4)
-	p := euler.DefaultParams(0.675, 0)
-
-	seq, err := NewSingle(m, part, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := NewSingle(m, part, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 8; c++ {
-		ns, err := seq.Cycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nc, err := conc.CycleConcurrent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ns != nc {
-			t.Fatalf("cycle %d: norms differ: %v vs %v", c, ns, nc)
-		}
-	}
-	ws, wc := seq.GatherSolution(), conc.GatherSolution()
-	for i := range ws {
-		if ws[i] != wc[i] {
-			t.Fatalf("vertex %d differs between sequential and concurrent orchestration", i)
-		}
-	}
-	// Identical traffic, too.
-	ms, bs := seq.Fabric.TotalStats()
-	mc, bc := conc.Fabric.TotalStats()
-	if ms != mc || bs != bc {
-		t.Errorf("traffic differs: %d/%d vs %d/%d", ms, bs, mc, bc)
-	}
-	if seq.Comm != conc.Comm {
-		t.Errorf("counters differ: %+v vs %+v", seq.Comm, conc.Comm)
-	}
-}
-
+// TestConcurrentMultigridMatchesSequential runs the W-cycle on one
+// goroutine, where partition-local order is mesh order and the result must
+// equal the sequential FAS multigrid bitwise, and on five goroutines (an
+// odd count over an inherited coarse partition) twice, where the two runs
+// must agree bitwise: goroutine scheduling never reaches the arithmetic.
 func TestConcurrentMultigridMatchesSequential(t *testing.T) {
 	spec := meshgen.DefaultChannel(10, 6, 4, 17)
 	meshes, err := meshgen.Sequence(spec, 3)
@@ -271,50 +262,83 @@ func TestConcurrentMultigridMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := partition.Partition(g, meshes[0].X, 5, partition.Spectral, 1)
+	part5, err := partition.Partition(g, meshes[0].X, 5, partition.Spectral, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := euler.DefaultParams(0.675, 0)
-	mk := func() *Solver {
-		dm, err := NewMultigrid(meshes, [][]int32{append([]int32(nil), part...), nil, nil}, 5, p, 2)
+	smg, err := multigrid.New(meshes, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(part []int32, nproc int) *Solver {
+		dm, err := NewMultigrid(meshes, [][]int32{part, nil, nil}, nproc, p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return dm
 	}
-	seq, conc := mk(), mk()
+	one := mk(make([]int32, meshes[0].NV()), 1)
+	a, b := mk(append([]int32(nil), part5...), 5), mk(append([]int32(nil), part5...), 5)
 	for c := 0; c < 4; c++ {
-		ns, err := seq.Cycle()
-		if err != nil {
-			t.Fatal(err)
+		var norms [3]float64
+		for i, s := range []*Solver{one, a, b} {
+			if norms[i], err = s.Cycle(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		nc, err := conc.CycleConcurrent()
-		if err != nil {
-			t.Fatal(err)
+		if ns := smg.Cycle(); norms[0] != ns {
+			t.Fatalf("cycle %d: one-processor norm %v, sequential %v", c, norms[0], ns)
 		}
-		if ns != nc {
-			t.Fatalf("cycle %d: norms differ: %v vs %v", c, ns, nc)
+		if norms[1] != norms[2] {
+			t.Fatalf("cycle %d: repeated five-processor runs differ: %v vs %v", c, norms[1], norms[2])
 		}
 	}
-	ws, wc := seq.GatherSolution(), conc.GatherSolution()
-	for i := range ws {
-		if ws[i] != wc[i] {
-			t.Fatalf("vertex %d differs (multigrid)", i)
+	for i, w := range one.GatherSolution() {
+		if w != smg.Fine().W[i] {
+			t.Fatalf("vertex %d: one-processor %v, sequential %v", i, w, smg.Fine().W[i])
+		}
+	}
+	wa, wb := a.GatherSolution(), b.GatherSolution()
+	for i := range wa {
+		if wa[i] != wb[i] {
+			t.Fatalf("vertex %d differs between repeated five-processor runs", i)
 		}
 	}
 }
 
+// TestConcurrentSingleProc runs the goroutine-per-processor cycle with a
+// single goroutine: partition-local order is mesh order, so it must
+// reproduce the sequential stepper bitwise, without sending a message.
 func TestConcurrentSingleProc(t *testing.T) {
 	m, _ := channelAndPartition(t, 6, 4, 3, 2)
-	part := make([]int32, m.NV())
+	part := make([]int32, m.NV()) // everything on processor 0
 	p := euler.DefaultParams(0.5, 0)
 	dm, err := NewSingle(m, part, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dm.CycleConcurrent(); err != nil {
-		t.Fatal(err)
+	seq := euler.NewDisc(m, p)
+	wseq := make([]euler.State, m.NV())
+	seq.InitUniform(wseq)
+	ws := euler.NewStepWorkspace(m.NV())
+	for c := 0; c < 3; c++ {
+		norm, err := dm.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seq.Step(wseq, nil, ws); norm != want {
+			t.Fatalf("cycle %d: norm %v, sequential %v", c, norm, want)
+		}
+	}
+	for i, w := range dm.GatherSolution() {
+		if w != wseq[i] {
+			t.Fatalf("vertex %d: %v, sequential %v", i, w, wseq[i])
+		}
+	}
+	// No communication at all on one processor.
+	if msgs, _ := dm.Fabric.TotalStats(); msgs != 0 {
+		t.Errorf("1-proc run sent %d messages", msgs)
 	}
 }
 
@@ -338,7 +362,7 @@ func TestConcurrentErrorPropagatesWithoutDeadlock(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := dm.CycleConcurrent()
+		_, err := dm.Cycle()
 		done <- err
 	}()
 	select {
@@ -347,7 +371,7 @@ func TestConcurrentErrorPropagatesWithoutDeadlock(t *testing.T) {
 			t.Error("corrupted traffic did not surface an error")
 		}
 	case <-timeAfter():
-		t.Fatal("CycleConcurrent deadlocked on error")
+		t.Fatal("Cycle deadlocked on error")
 	}
 }
 

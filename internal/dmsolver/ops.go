@@ -5,15 +5,11 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
-	"eul3d/internal/parti"
 )
 
 // This file holds the per-processor loop bodies (the "executor" side of
-// the inspector/executor transformation) and the sequential orchestration
-// that loops them over all processors with whole-schedule exchanges.
-// concurrent.go runs the same bodies with one goroutine per processor and
-// barrier-separated per-processor exchange halves; both modes produce
-// identical results.
+// the inspector/executor transformation). cycle.go runs them with one
+// goroutine per processor, separated by the PARTI exchange halves.
 
 // ---- per-processor compute phases ----
 
@@ -36,7 +32,7 @@ func zeroStatesProc(a []euler.State) {
 }
 
 // convectiveProc assembles proc p's share of Q(w) into lev.Conv[p]
-// (including ghost accumulations, scatter-added by the orchestrator).
+// (including ghost accumulations, scatter-added by the caller).
 func (s *Solver) convectiveProc(lev *Level, p int) {
 	zeroStatesProc(lev.Conv[p])
 	g := s.P.Gas
@@ -151,7 +147,15 @@ func (s *Solver) lamProc(lev *Level, p int) {
 	}
 }
 
+// dtProc fills the owned time steps: CFL*V/lambda, or the fixed global
+// step in time-accurate mode (Params.GlobalDt > 0), as euler.DtRangeKernel.
 func (s *Solver) dtProc(lev *Level, p int) {
+	if dt := s.P.GlobalDt; dt > 0 {
+		for i := 0; i < lev.Dist.Count(p); i++ {
+			lev.Dt[p][i] = dt
+		}
+		return
+	}
 	cfl := s.P.CFL
 	for i := 0; i < lev.Dist.Count(p); i++ {
 		lev.Dt[p][i] = cfl * lev.Vol[p][i] / lev.Lam[p][i]
@@ -215,22 +219,11 @@ func (s *Solver) updateProc(lev *Level, p int, alpha float64) {
 		for k := 0; k < euler.NVar; k++ {
 			cand[k] = lev.W0[p][i][k] - f*lev.Res[p][i][k]
 		}
-		if !s.P.Guard(cand) {
-			cand = lev.W0[p][i] // positivity guard, identical to euler.Step
-		}
-		lev.W[p][i] = cand
+		lev.W[p][i] = s.P.AdmitUpdate(lev.W0[p][i], cand) // the admission point every engine shares
 	}
 }
 
 // ---- multigrid per-processor phases ----
-
-func (s *Solver) addForcingToResProc(lev *Level, p int) {
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		for k := 0; k < euler.NVar; k++ {
-			lev.Res[p][i][k] += lev.Forcing[p][i][k]
-		}
-	}
-}
 
 func (s *Solver) restrictInterpProc(fine, coarse *Level, p int) {
 	for li := range coarse.RestrictAddr[p] {
@@ -306,243 +299,4 @@ func (s *Solver) applyCorrProc(fine *Level, p int) {
 		}
 		fine.W[p][i] = cand
 	}
-}
-
-// ---- sequential orchestration ----
-
-func (s *Solver) forAll(fn func(p int)) {
-	for p := 0; p < s.NProc; p++ {
-		fn(p)
-	}
-}
-
-// Sequential collective wrappers: count the execution and, with a tracer
-// attached, bracket it with comm/compute spans (trace.go).
-
-func (s *Solver) seqGatherStates(sch *parti.Schedule, lev *Level, data [][]euler.State) error {
-	s.Comm.GatherState++
-	return s.seqEx(exGatherState, lev.Index, func() error { return sch.GatherStates(s.Fabric, data) })
-}
-
-func (s *Solver) seqScatterAddStates(sch *parti.Schedule, lev *Level, data [][]euler.State) error {
-	s.Comm.ScatterState++
-	return s.seqEx(exScatterState, lev.Index, func() error { return sch.ScatterAddStates(s.Fabric, data) })
-}
-
-func (s *Solver) seqGatherFloats(sch *parti.Schedule, lev *Level, data [][]float64) error {
-	s.Comm.GatherFloat++
-	return s.seqEx(exGatherFloat, lev.Index, func() error { return sch.GatherFloats(s.Fabric, data) })
-}
-
-func (s *Solver) seqScatterAddFloats(sch *parti.Schedule, lev *Level, data [][]float64) error {
-	s.Comm.ScatterFloat++
-	return s.seqEx(exScatterFloat, lev.Index, func() error { return sch.ScatterAddFloats(s.Fabric, data) })
-}
-
-// gatherW refreshes the flow-variable ghosts of level lev.
-func (s *Solver) gatherW(lev *Level) error {
-	return s.seqGatherStates(lev.SchedW, lev, lev.W)
-}
-
-// convective assembles Q(w) into lev.Conv with the closing scatter-add.
-func (s *Solver) convective(lev *Level) error {
-	s.forAll(func(p int) { s.convectiveProc(lev, p) })
-	return s.seqScatterAddStates(lev.SchedW, lev, lev.Conv)
-}
-
-// dissipation assembles D(w) into lev.Diss: pass 1 with scatter-add and
-// re-gather, then pass 2 with a final scatter-add — the consecutive-loop
-// structure that motivates the paper's incremental schedules.
-func (s *Solver) dissipation(lev *Level) error {
-	s.forAll(func(p int) { s.dissPass1Proc(lev, p) })
-	if err := s.seqScatterAddStates(lev.SchedW, lev, lev.Lapl); err != nil {
-		return err
-	}
-	if err := s.seqScatterAddFloats(lev.SchedW, lev, lev.Num); err != nil {
-		return err
-	}
-	if err := s.seqScatterAddFloats(lev.SchedW, lev, lev.Den); err != nil {
-		return err
-	}
-	s.forAll(func(p int) { s.nuProc(lev, p) })
-	if err := s.seqGatherStates(lev.SchedW, lev, lev.Lapl); err != nil {
-		return err
-	}
-	if err := s.seqGatherFloats(lev.SchedW, lev, lev.Num); err != nil {
-		return err
-	}
-	s.forAll(func(p int) { s.dissPass2Proc(lev, p) })
-	return s.seqScatterAddStates(lev.SchedW, lev, lev.Diss)
-}
-
-// timeSteps computes the local time steps on owned vertices.
-func (s *Solver) timeSteps(lev *Level) error {
-	s.forAll(func(p int) { s.lamProc(lev, p) })
-	if err := s.seqScatterAddFloats(lev.SchedW, lev, lev.Lam); err != nil {
-		return err
-	}
-	s.forAll(func(p int) { s.dtProc(lev, p) })
-	return nil
-}
-
-// smooth applies the distributed implicit residual averaging to arr.
-func (s *Solver) smooth(lev *Level, arr [][]euler.State) error {
-	eps := s.P.EpsSmooth
-	if eps == 0 || s.P.NSmooth == 0 {
-		return nil
-	}
-	s.forAll(func(p int) { s.smoothRHSProc(lev, p, arr) })
-	cur, next := arr, lev.Smooth
-	for sweep := 0; sweep < s.P.NSmooth; sweep++ {
-		if err := s.seqGatherStates(lev.SchedW, lev, cur); err != nil {
-			return err
-		}
-		cc, nn := cur, next
-		s.forAll(func(p int) { s.smoothAccumProc(lev, p, cc, nn) })
-		if err := s.seqScatterAddStates(lev.SchedW, lev, next); err != nil {
-			return err
-		}
-		s.forAll(func(p int) { s.smoothCombineProc(lev, p, nn, eps) })
-		cur, next = next, cur
-	}
-	if &cur[0] != &arr[0] {
-		s.forAll(func(p int) { s.smoothWritebackProc(lev, p, arr, cur) })
-	}
-	return nil
-}
-
-// residual computes R = Q - D (+ forcing if withForcing) into lev.Res at
-// owned vertices.
-func (s *Solver) residual(lev *Level, withForcing bool) error {
-	if err := s.gatherW(lev); err != nil {
-		return err
-	}
-	s.forAll(func(p int) { s.pressuresProc(lev, p) })
-	if err := s.convective(lev); err != nil {
-		return err
-	}
-	if err := s.dissipation(lev); err != nil {
-		return err
-	}
-	s.forAll(func(p int) { s.combineResProc(lev, p, withForcing) })
-	return nil
-}
-
-// step advances level l by one five-stage time step and returns the
-// first-stage residual norm.
-func (s *Solver) step(l int) (float64, error) {
-	lev := s.Levels[l]
-	withForcing := l > 0
-	s.forAll(func(p int) { s.copyW0Proc(lev, p) })
-	if err := s.gatherW(lev); err != nil {
-		return 0, err
-	}
-	s.forAll(func(p int) { s.pressuresProc(lev, p) })
-	if err := s.timeSteps(lev); err != nil {
-		return 0, err
-	}
-	norm := 0.0
-	for q, alpha := range s.P.Stages {
-		if q > 0 {
-			if err := s.gatherW(lev); err != nil {
-				return 0, err
-			}
-			s.forAll(func(p int) { s.pressuresProc(lev, p) })
-		}
-		if err := s.convective(lev); err != nil {
-			return 0, err
-		}
-		if q < euler.DissipStages {
-			if err := s.dissipation(lev); err != nil {
-				return 0, err
-			}
-		}
-		s.forAll(func(p int) { s.combineResProc(lev, p, withForcing) })
-		if q == 0 {
-			sum := 0.0
-			for p := 0; p < s.NProc; p++ {
-				sum += s.normPartialProc(lev, p)
-			}
-			norm = math.Sqrt(sum / float64(lev.M.NV()))
-		}
-		if err := s.smooth(lev, lev.Res); err != nil {
-			return 0, err
-		}
-		s.forAll(func(p int) { s.updateProc(lev, p, alpha) })
-	}
-	return norm, nil
-}
-
-// Cycle performs one multigrid cycle (or a plain time step for a single
-// level) and returns the fine-grid residual norm.
-func (s *Solver) Cycle() (float64, error) {
-	return s.cycle(0)
-}
-
-func (s *Solver) cycle(l int) (float64, error) {
-	norm, err := s.step(l)
-	if err != nil || l == len(s.Levels)-1 {
-		return norm, err
-	}
-	lev, next := s.Levels[l], s.Levels[l+1]
-
-	// Residual of the post-step solution (with forcing on coarse levels).
-	if err := s.residual(lev, l > 0); err != nil {
-		return 0, err
-	}
-
-	// Restrict flow variables: refresh fine ghosts through both the
-	// edge-loop schedule and the incremental restriction schedule, then
-	// interpolate onto coarse-owned vertices.
-	if err := s.gatherW(lev); err != nil {
-		return 0, err
-	}
-	if err := s.seqGatherStates(next.SchedFine, lev, lev.W); err != nil {
-		return 0, err
-	}
-	s.forAll(func(p int) { s.restrictInterpProc(lev, next, p) })
-
-	// Restrict residuals conservatively. The prolongation addresses reuse
-	// coarse ghost slots already allocated by the coarse edge-loop
-	// schedule where possible (incremental schedules); accumulated
-	// contributions return to their owners through both schedules.
-	s.forAll(func(p int) { s.residualScatterProc(lev, next, p) })
-	if err := s.seqScatterAddStates(next.SchedCoarse, next, next.Forcing); err != nil {
-		return 0, err
-	}
-	if err := s.seqScatterAddStates(next.SchedW, next, next.Forcing); err != nil {
-		return 0, err
-	}
-
-	// Forcing P = R' - R(w').
-	if err := s.residual(next, false); err != nil {
-		return 0, err
-	}
-	s.forAll(func(p int) { s.forcingCombineProc(next, p) })
-
-	visits := s.Gamma
-	if l+1 == len(s.Levels)-1 {
-		visits = 1
-	}
-	for v := 0; v < visits; v++ {
-		if _, err := s.cycle(l + 1); err != nil {
-			return 0, err
-		}
-	}
-
-	// Correction: coarse delta, ghost refresh through both schedules,
-	// interpolate to fine, smooth, apply.
-	s.forAll(func(p int) { s.corrDeltaProc(next, p) })
-	if err := s.seqGatherStates(next.SchedCoarse, next, next.Corr); err != nil {
-		return 0, err
-	}
-	if err := s.seqGatherStates(next.SchedW, next, next.Corr); err != nil {
-		return 0, err
-	}
-	s.forAll(func(p int) { s.corrInterpProc(lev, next, p) })
-	if err := s.smooth(lev, lev.Corr); err != nil {
-		return 0, err
-	}
-	s.forAll(func(p int) { s.applyCorrProc(lev, p) })
-	return norm, nil
 }

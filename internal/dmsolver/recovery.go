@@ -42,11 +42,6 @@ type RunOptions struct {
 	LogEvery  int     // progress line period (0 = silent)
 	Log       io.Writer
 
-	// Concurrent selects the MIMD mode (one goroutine per simulated
-	// processor) instead of the sequential orchestration. Both produce
-	// bitwise identical results.
-	Concurrent bool
-
 	// CheckpointEvery > 0 snapshots the run every that many cycles (an
 	// initial cycle-0 checkpoint is always taken so a crash before the
 	// first interval remains recoverable). CheckpointPath, when set,
@@ -178,16 +173,9 @@ func (s *Solver) Run(opt RunOptions) (*RunResult, error) {
 	// Always hold a rewind point, even before the first periodic interval.
 	ckpt := s.takeSnapshot(c, history)
 
-	cycleOnce := func() (float64, error) {
-		if opt.Concurrent {
-			return s.CycleConcurrent()
-		}
-		return s.Cycle()
-	}
-
 	for c < opt.MaxCycles {
 		s.Fabric.BeginCycle(c)
-		norm, err := cycleOnce()
+		norm, err := s.Cycle()
 		if err != nil {
 			if errors.Is(err, simnet.ErrNodeDown) && maxRecoveries > 0 && res.Recoveries < maxRecoveries {
 				res.Recoveries++

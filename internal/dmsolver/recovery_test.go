@@ -3,6 +3,7 @@ package dmsolver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,86 +42,64 @@ func chaosPlan(crashNode, crashCycle int) *simnet.FaultPlan {
 
 // TestChaosRecoversBitwise is the acceptance test of the fault-tolerance
 // stack: under a seeded plan with drops, corruption, duplication, delay,
-// reordering AND a node crash mid-run, the distributed solve must recover
-// and produce a residual history and final solution bitwise identical to
-// the fault-free run.
+// reordering AND a node crash mid-run, the distributed solve — every
+// simulated processor healing its own exchanges concurrently — must
+// recover and produce a residual history and final solution bitwise
+// identical to the fault-free run. Two crash placements and checkpoint
+// intervals put the rewind at different distances from the crash.
 func TestChaosRecoversBitwise(t *testing.T) {
-	const cycles = 10
+	for _, tc := range []struct {
+		cycles, crashNode, crashCycle, every int
+	}{
+		{cycles: 10, crashNode: 1, crashCycle: 5, every: 3},
+		{cycles: 8, crashNode: 2, crashCycle: 4, every: 2},
+	} {
+		t.Run(fmt.Sprintf("crash-p%d@%d", tc.crashNode, tc.crashCycle), func(t *testing.T) {
+			ref, err := chaosSolver(t).Run(RunOptions{MaxCycles: tc.cycles})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ref, err := chaosSolver(t).Run(RunOptions{MaxCycles: cycles})
-	if err != nil {
-		t.Fatal(err)
-	}
+			s := chaosSolver(t)
+			plan := chaosPlan(tc.crashNode, tc.crashCycle)
+			s.Fabric.SetFaultPlan(plan)
+			var log bytes.Buffer
+			res, err := s.Run(RunOptions{MaxCycles: tc.cycles, CheckpointEvery: tc.every, Log: &log})
+			if err != nil {
+				t.Fatalf("chaos run failed: %v\nlog:\n%s", err, log.String())
+			}
 
-	s := chaosSolver(t)
-	plan := chaosPlan(1, 5)
-	s.Fabric.SetFaultPlan(plan)
-	var log bytes.Buffer
-	res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: 3, Log: &log})
-	if err != nil {
-		t.Fatalf("chaos run failed: %v\nlog:\n%s", err, log.String())
-	}
+			if res.Recoveries < 1 {
+				t.Errorf("crash never triggered a recovery (log:\n%s)", log.String())
+			}
+			if n := plan.Unfired(); n != 0 {
+				t.Errorf("%d scheduled faults never fired", n)
+			}
+			st := plan.Stats()
+			if st.Drops < 1 || st.Corruptions < 1 || st.Crashes < 1 {
+				t.Errorf("fault mix incomplete: %+v", st)
+			}
+			if s.Fabric.Resends() == 0 {
+				t.Error("no message healing took place")
+			}
 
-	if res.Recoveries < 1 {
-		t.Errorf("crash never triggered a recovery (log:\n%s)", log.String())
-	}
-	if n := plan.Unfired(); n != 0 {
-		t.Errorf("%d scheduled faults never fired", n)
-	}
-	st := plan.Stats()
-	if st.Drops < 1 || st.Corruptions < 1 || st.Crashes < 1 {
-		t.Errorf("fault mix incomplete: %+v", st)
-	}
-	if s.Fabric.Resends() == 0 {
-		t.Error("no message healing took place")
-	}
-
-	if len(res.History) != len(ref.History) {
-		t.Fatalf("chaos run has %d history entries, fault-free %d", len(res.History), len(ref.History))
-	}
-	for i := range ref.History {
-		if res.History[i] != ref.History[i] {
-			t.Fatalf("history[%d] = %v under faults, want %v (bitwise)", i, res.History[i], ref.History[i])
-		}
-	}
-	if len(res.FineSolution) != len(ref.FineSolution) {
-		t.Fatal("solution size mismatch")
-	}
-	for i := range ref.FineSolution {
-		if res.FineSolution[i] != ref.FineSolution[i] {
-			t.Fatalf("solution vertex %d differs from fault-free run", i)
-		}
-	}
-}
-
-// The same contract must hold in true MIMD mode, where every simulated
-// processor heals its own exchanges concurrently.
-func TestChaosRecoversBitwiseConcurrent(t *testing.T) {
-	const cycles = 8
-
-	ref, err := chaosSolver(t).Run(RunOptions{MaxCycles: cycles, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := chaosSolver(t)
-	s.Fabric.SetFaultPlan(chaosPlan(2, 4))
-	res, err := s.Run(RunOptions{MaxCycles: cycles, Concurrent: true, CheckpointEvery: 2})
-	if err != nil {
-		t.Fatalf("concurrent chaos run failed: %v", err)
-	}
-	if res.Recoveries < 1 {
-		t.Error("crash never triggered a recovery")
-	}
-	for i := range ref.History {
-		if res.History[i] != ref.History[i] {
-			t.Fatalf("history[%d] = %v under faults, want %v", i, res.History[i], ref.History[i])
-		}
-	}
-	for i := range ref.FineSolution {
-		if res.FineSolution[i] != ref.FineSolution[i] {
-			t.Fatalf("solution vertex %d differs from fault-free run", i)
-		}
+			if len(res.History) != len(ref.History) {
+				t.Fatalf("chaos run has %d history entries, fault-free %d", len(res.History), len(ref.History))
+			}
+			for i := range ref.History {
+				if res.History[i] != ref.History[i] {
+					t.Fatalf("history[%d] = %v under faults, want %v (bitwise)", i, res.History[i], ref.History[i])
+				}
+			}
+			if len(res.FineSolution) != len(ref.FineSolution) {
+				t.Fatal("solution size mismatch")
+			}
+			for i := range ref.FineSolution {
+				if res.FineSolution[i] != ref.FineSolution[i] {
+					t.Fatalf("solution vertex %d differs from fault-free run", i)
+				}
+			}
+		})
 	}
 }
 

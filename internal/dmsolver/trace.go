@@ -14,10 +14,7 @@ import (
 // two exchanges *is* compute, and the recorder closes that gap with a
 // "compute" span when the next exchange opens.
 //
-//   - sequential orchestration: every whole-schedule collective becomes a
-//     span on the "comm" track ("gather-states", "scatter-states", ...,
-//     arg = level);
-//   - MIMD mode: every per-processor exchange half becomes a span on that
+//   - every per-processor exchange half becomes a span on that
 //     processor's track ("send-gather"/"recv-gather"/"send-scatter"/
 //     "recv-scatter") with the bulk-synchronous "barrier" waits between
 //     the halves — the per-node timeline of the Delta port;
@@ -27,7 +24,7 @@ import (
 //   - the recovery orchestrator (recovery.go) marks crashes, checkpoint
 //     restores and CFL backoffs as instants on the "events" track.
 
-// exchange kinds, indexing solverTrace.exPh.
+// exchange kinds, indexing solverTrace.sendPh and recvPh.
 const (
 	exGatherState = iota
 	exScatterState
@@ -35,8 +32,6 @@ const (
 	exScatterFloat
 	nExKinds
 )
-
-var seqExNames = [nExKinds]string{"gather-states", "scatter-states", "gather-floats", "scatter-floats"}
 
 // buildSpan is one timed construction step, recorded before any tracer
 // exists and replayed by SetTrace.
@@ -50,41 +45,36 @@ type buildSpan struct {
 // hook.
 type solverTrace struct {
 	tr    *trace.Tracer
-	comm  *trace.Track   // sequential collectives + compute gaps
-	procs []*trace.Track // MIMD: one per simulated processor
+	procs []*trace.Track // one per simulated processor
 	orch  *trace.Track   // recovery/checkpoint instants
 
-	exPh     [nExKinds]trace.PhaseID // sequential collective spans
-	sendPh   [nExKinds]trace.PhaseID // MIMD send halves
-	recvPh   [nExKinds]trace.PhaseID // MIMD receive halves
-	phBar    trace.PhaseID           // MIMD bulk-synchronous wait
+	sendPh   [nExKinds]trace.PhaseID // send halves
+	recvPh   [nExKinds]trace.PhaseID // receive halves
+	phBar    trace.PhaseID           // bulk-synchronous wait
 	phComp   trace.PhaseID           // compute gap between exchanges
 	phCrash  trace.PhaseID           // node crash detected (arg = cycle)
 	phRecov  trace.PhaseID           // checkpoint restore (arg = rewound-to cycle)
 	phBack   trace.PhaseID           // CFL backoff (arg = cycle)
 	phCkpt   trace.PhaseID           // checkpoint taken (arg = cycle)
-	lastSeq  time.Time               // end of the previous sequential collective
 	lastProc []time.Time             // per proc: end of its previous exchange (owned by that proc's goroutine)
 }
 
-var mimdExNames = [2][nExKinds]string{
+var exNames = [2][nExKinds]string{
 	{"send-gather", "send-scatter", "send-gather", "send-scatter"},
 	{"recv-gather", "recv-scatter", "recv-gather", "recv-scatter"},
 }
 
-// SetTrace attaches a flight-recorder tracer: the "comm" track carries the
-// sequential collectives, "p<i>" tracks the per-processor MIMD exchange
-// halves and barrier waits, "build" the replayed schedule-construction
-// spans and "events" the recovery instants. Compute time appears as the
-// gap-filling "compute" spans. Call before Run/Cycle; a nil tracer leaves
-// tracing disabled.
+// SetTrace attaches a flight-recorder tracer: the "p<i>" tracks carry the
+// per-processor exchange halves and barrier waits, "build" the replayed
+// schedule-construction spans and "events" the recovery instants. Compute
+// time appears as the gap-filling "compute" spans. Call before Run/Cycle;
+// a nil tracer leaves tracing disabled.
 func (s *Solver) SetTrace(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
 	st := &solverTrace{
 		tr:       tr,
-		comm:     tr.Track("comm"),
 		orch:     tr.Track("events"),
 		procs:    make([]*trace.Track, s.NProc),
 		lastProc: make([]time.Time, s.NProc),
@@ -92,10 +82,9 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 	for p := range st.procs {
 		st.procs[p] = tr.Track(fmt.Sprintf("p%d", p))
 	}
-	for k, n := range seqExNames {
-		st.exPh[k] = tr.Phase(n)
-		st.sendPh[k] = tr.Phase(mimdExNames[0][k])
-		st.recvPh[k] = tr.Phase(mimdExNames[1][k])
+	for k := 0; k < nExKinds; k++ {
+		st.sendPh[k] = tr.Phase(exNames[0][k])
+		st.recvPh[k] = tr.Phase(exNames[1][k])
 	}
 	st.phBar = tr.Phase("barrier")
 	st.phComp = tr.Phase("compute")
@@ -112,25 +101,6 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 		bt.Span(tr.Phase(b.name), b.from, b.to, int64(b.level))
 	}
 	s.st = st
-}
-
-// seqEx brackets one sequential whole-schedule collective: a compute span
-// closing the gap since the previous collective, then the collective span
-// itself.
-func (s *Solver) seqEx(kind, level int, fn func() error) error {
-	st := s.st
-	if st == nil {
-		return fn()
-	}
-	t0 := time.Now()
-	if !st.lastSeq.IsZero() {
-		st.comm.Span(st.phComp, st.lastSeq, t0, int64(level))
-	}
-	err := fn()
-	t1 := time.Now()
-	st.comm.Span(st.exPh[kind], t0, t1, int64(level))
-	st.lastSeq = t1
-	return err
 }
 
 // markIncident records a recovery-orchestrator instant on the events track.

@@ -2,11 +2,13 @@ package dmsolver
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"eul3d/internal/euler"
 	"eul3d/internal/simnet"
 	"eul3d/internal/trace"
 )
@@ -28,40 +30,45 @@ func traceTracks(tr *trace.Tracer) map[string]*trace.Track {
 	return out
 }
 
-// TestTracedSequentialCycle checks the sequential orchestration's comm
-// timeline: collective spans interleaved with the gap-filling compute
-// spans on the "comm" track, and the replayed schedule-build spans.
+// TestTracedSequentialCycle traces a cycle on one simulated processor,
+// where the whole cycle runs in sequence on a single goroutine: its "p0"
+// track is compute with no message traffic, and the "build" track carries
+// the replayed schedule-build spans.
 func TestTracedSequentialCycle(t *testing.T) {
-	s := chaosSolver(t)
+	m, _ := channelAndPartition(t, 6, 4, 3, 2)
+	s, err := NewSingle(m, make([]int32, m.NV()), 1, euler.DefaultParams(0.5, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := trace.New(2048)
 	s.SetTrace(tr)
 	if _, err := s.Cycle(); err != nil {
 		t.Fatal(err)
 	}
 	tks := traceTracks(tr)
-	if tks["comm"] == nil || tks["build"] == nil || tks["events"] == nil {
+	if tks["p0"] == nil || tks["build"] == nil || tks["events"] == nil {
 		t.Fatalf("missing tracks; have %v", len(tr.Tracks()))
 	}
-	comm := phaseCounts(tr, tks["comm"])
-	for _, ph := range []string{"gather-states", "scatter-states", "gather-floats", "scatter-floats", "compute"} {
-		if comm[ph] == 0 {
-			t.Errorf("comm track has no %q spans (%v)", ph, comm)
-		}
+	if got := phaseCounts(tr, tks["p0"]); got["compute"] == 0 {
+		t.Errorf("p0 track has no compute spans (%v)", got)
 	}
-	build := phaseCounts(tr, tks["build"])
-	if build["schedule-build"] == 0 {
+	if build := phaseCounts(tr, tks["build"]); build["schedule-build"] == 0 {
 		t.Errorf("build track has no schedule-build spans (%v)", build)
+	}
+	if msgs, _ := s.Fabric.TotalStats(); msgs != 0 {
+		t.Errorf("1-proc traced cycle sent %d messages", msgs)
 	}
 }
 
-// TestTracedConcurrentCycle checks the MIMD timeline: every simulated
-// processor's track carries send/recv exchange halves, barrier waits and
-// compute spans — the per-node comm/comp breakdown of the Delta port.
+// TestTracedConcurrentCycle checks the per-processor timeline: every
+// simulated processor's track carries send/recv exchange halves, barrier
+// waits and compute spans — the per-node comm/comp breakdown of the Delta
+// port.
 func TestTracedConcurrentCycle(t *testing.T) {
 	s := chaosSolver(t)
 	tr := trace.New(4096)
 	s.SetTrace(tr)
-	if _, err := s.CycleConcurrent(); err != nil {
+	if _, err := s.Cycle(); err != nil {
 		t.Fatal(err)
 	}
 	tks := traceTracks(tr)
@@ -121,8 +128,8 @@ func TestIncidentDumpOnCrash(t *testing.T) {
 		t.Fatal("incident dump is empty")
 	}
 
-	// The events track must hold the incident markers, and the comm ring
-	// the exchanges leading up to them.
+	// The events track must hold the incident markers, and every
+	// processor's ring the exchanges leading up to them.
 	tks := traceTracks(tr)
 	events := phaseCounts(tr, tks["events"])
 	if events["node-crash"] == 0 || events["recovery"] == 0 {
@@ -131,8 +138,10 @@ func TestIncidentDumpOnCrash(t *testing.T) {
 	if events["checkpoint"] == 0 {
 		t.Errorf("events track missing checkpoint instants (%v)", events)
 	}
-	comm := phaseCounts(tr, tks["comm"])
-	if comm["gather-states"] == 0 {
-		t.Errorf("comm ring does not hold the exchanges before the incident (%v)", comm)
+	for p := 0; p < s.NProc; p++ {
+		name := fmt.Sprintf("p%d", p)
+		if got := phaseCounts(tr, tks[name]); got["recv-gather"] == 0 {
+			t.Errorf("%s ring does not hold the exchanges before the incident (%v)", name, got)
+		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 // Where a full 5-vector is needed per element (flux evaluation, spectral
 // radii, the positivity guard) the state is gathered component-wise into a
 // State value and fed to the *same* helper (FluxDotN, SpectralRadius,
-// Params.admitUpdate), so the arithmetic is literally shared; the
+// Params.AdmitUpdate), so the arithmetic is literally shared; the
 // component-wise accumulation statements mirror the sequential expressions
 // term for term. Reordering across components is immaterial — each
 // accumulator slot still sees the same additions in the same edge order.
@@ -384,7 +384,7 @@ func (d *Disc) UpdateFinalSoAKernel(w []State, w0S, resS *StateSoA, alpha float6
 		f := alpha * d.Dt[i] / vol[i]
 		cand := State{z0[i] - f*r0[i], z1[i] - f*r1[i], z2[i] - f*r2[i], z3[i] - f*r3[i], z4[i] - f*r4[i]}
 		// Positivity safeguard, identical to the sequential step.
-		w[i] = d.P.admitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
+		w[i] = d.P.AdmitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
 	}
 }
 
@@ -400,7 +400,7 @@ func (d *Disc) UpdateNextSoAKernel(wS, w0S, resS *StateSoA, alpha float64, lo, h
 	for i := lo; i < hi; i++ {
 		f := alpha * d.Dt[i] / vol[i]
 		cand := State{z0[i] - f*r0[i], z1[i] - f*r1[i], z2[i] - f*r2[i], z3[i] - f*r3[i], z4[i] - f*r4[i]}
-		cand = d.P.admitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
+		cand = d.P.AdmitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
 		s0[i], s1[i], s2[i], s3[i], s4[i] = cand[0], cand[1], cand[2], cand[3], cand[4]
 		d.pres[i] = g.Pressure(cand)
 	}

@@ -217,7 +217,7 @@ func TestCombineAndUpdateKernels(t *testing.T) {
 
 	// Both stage-update forms against a one-stage Disc.Step on the same
 	// field and forcing, whose update is w0 - alpha*Dt/V * smoothed
-	// residual through admitUpdate. The large alpha drives some
+	// residual through AdmitUpdate. The large alpha drives some
 	// candidates out of the admissible set, so both admission branches
 	// run.
 	smoothed := append([]State(nil), forced...)

@@ -71,13 +71,13 @@ func (p *Params) LimitUpdate(w0, cand State) State {
 	return s
 }
 
-// admitUpdate is the single admission point of every stage-update kernel —
-// sequential (Disc.Step) and range (UpdateFinalSoAKernel,
-// UpdateNextSoAKernel) — so all engines perform
+// AdmitUpdate is the single admission point of every stage-update kernel —
+// sequential (Disc.Step), range (UpdateFinalSoAKernel,
+// UpdateNextSoAKernel) and distributed (dmsolver) — so all engines perform
 // literally the same arithmetic and stay bitwise conformant. With
 // ConvexLimit unset it reproduces the historical guard exactly: revert the
 // whole vertex for the stage when the candidate leaves the admissible set.
-func (p *Params) admitUpdate(w0, cand State) State {
+func (p *Params) AdmitUpdate(w0, cand State) State {
 	if p.ConvexLimit {
 		return p.LimitUpdate(w0, cand)
 	}

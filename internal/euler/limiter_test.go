@@ -120,7 +120,7 @@ func TestLimitUpdateKeepsProgress(t *testing.T) {
 	// The guard path (ConvexLimit off) must still revert wholesale.
 	pg := p
 	pg.ConvexLimit = false
-	if got := pg.admitUpdate(w0, cand); got != w0 {
+	if got := pg.AdmitUpdate(w0, cand); got != w0 {
 		t.Fatalf("guard path did not revert: %v", got)
 	}
 }

@@ -96,7 +96,7 @@ func (d *Disc) Step(w []State, forcing []State, ws *StepWorkspace) float64 {
 				cand[k] = ws.w0[i][k] - f*ws.res[i][k]
 			}
 			// Positivity safeguard: revert or convex-limit the stage update.
-			w[i] = d.P.admitUpdate(ws.w0[i], cand)
+			w[i] = d.P.AdmitUpdate(ws.w0[i], cand)
 		}
 	}
 	return resNorm

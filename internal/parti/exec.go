@@ -7,11 +7,12 @@ import (
 	"eul3d/internal/simnet"
 )
 
-// This file splits the executors into per-processor send and receive
-// halves. The whole-schedule executors in parti.go loop the halves over
-// all processors (the sequential-orchestration mode); the concurrent MIMD
-// mode of the distributed solver runs one goroutine per processor, each
-// calling its own half between barriers.
+// This file holds the executors as per-processor send and receive halves.
+// The distributed solver runs one goroutine per processor, each calling
+// its own halves with a barrier between them: a gather sends owned values
+// to the processors that ghost them and receives into ghost slots; a
+// scatter-add, its transpose, sends ghost accumulations back to their
+// owners (zeroing the ghost slots) and adds them in there.
 
 // SendGatherStates packs and sends processor q's owned values for every
 // destination of the schedule.

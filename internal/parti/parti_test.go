@@ -67,6 +67,23 @@ func TestLocalizeOwnedAndGhost(t *testing.T) {
 	}
 }
 
+// exchange executes sch once over all processors the way the distributed
+// solver does, minus the goroutines: every send half, then every receive
+// half.
+func exchange[T any](sch *Schedule, f *simnet.Fabric, data T, send, recv func(*simnet.Fabric, int, T) error) error {
+	for p := 0; p < sch.d.NProc; p++ {
+		if err := send(f, p, data); err != nil {
+			return err
+		}
+	}
+	for p := 0; p < sch.d.NProc; p++ {
+		if err := recv(f, p, data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestScheduleGatherRoundTrip(t *testing.T) {
 	n, nproc := 40, 4
 	d := chainDist(t, n, nproc)
@@ -93,7 +110,7 @@ func TestScheduleGatherRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := sch.GatherStates(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendGatherStates, sch.RecvGatherStates); err != nil {
 		t.Fatal(err)
 	}
 	// Every referenced global must now be readable at its local address.
@@ -135,7 +152,7 @@ func TestScatterAddInvertsGather(t *testing.T) {
 			wantTotal += data[p][li][0]
 		}
 	}
-	if err := sch.ScatterAddStates(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendScatterStates, sch.RecvScatterStates); err != nil {
 		t.Fatal(err)
 	}
 	// Conservation: total over all arrays unchanged; ghosts zeroed.
@@ -170,7 +187,7 @@ func TestFloatsGatherScatter(t *testing.T) {
 			data[p][li] = float64(g) * 1.5
 		}
 	}
-	if err := sch.GatherFloats(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendGatherFloats, sch.RecvGatherFloats); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < nproc; p++ {
@@ -190,7 +207,7 @@ func TestFloatsGatherScatter(t *testing.T) {
 			data[p][li] = 0
 		}
 	}
-	if err := sch.ScatterAddFloats(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendScatterFloats, sch.RecvScatterFloats); err != nil {
 		t.Fatal(err)
 	}
 	var total float64
@@ -256,7 +273,7 @@ func TestScheduleAggregatesMessages(t *testing.T) {
 	for p := 0; p < nproc; p++ {
 		data[p] = make([]euler.State, gs.TotalSize(p))
 	}
-	if err := sch.GatherStates(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendGatherStates, sch.RecvGatherStates); err != nil {
 		t.Fatal(err)
 	}
 	msgs, bytes := f.Stats(1)

@@ -42,7 +42,7 @@ func TestQuickGatherAlwaysDeliversOwnerValues(t *testing.T) {
 				data[p][li][0] = float64(g)
 			}
 		}
-		if err := sch.GatherStates(fab, data); err != nil {
+		if err := exchange(sch, fab, data, sch.SendGatherStates, sch.RecvGatherStates); err != nil {
 			return false
 		}
 		for p := 0; p < nproc; p++ {
@@ -95,7 +95,7 @@ func TestQuickScatterAddConserves(t *testing.T) {
 				want += data[p][li]
 			}
 		}
-		if err := sch.ScatterAddFloats(fab, data); err != nil {
+		if err := exchange(sch, fab, data, sch.SendScatterFloats, sch.RecvScatterFloats); err != nil {
 			return false
 		}
 		got := 0.0

@@ -54,7 +54,7 @@ func TestGatherHealsDroppedMessage(t *testing.T) {
 	plan := simnet.NewFaultPlan(simnet.FaultEvent{Kind: simnet.FaultDrop, Src: 0, Dst: 1, Seq: 0})
 	d, gs, sch, f := faultyFixture(t, plan)
 	data := mkStateData(d, gs)
-	if err := sch.GatherStates(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendGatherStates, sch.RecvGatherStates); err != nil {
 		t.Fatalf("gather did not heal the drop: %v", err)
 	}
 	checkGhosts(t, d, gs, data)
@@ -73,7 +73,7 @@ func TestGatherHealsCorruptionAndDelay(t *testing.T) {
 	)
 	d, gs, sch, f := faultyFixture(t, plan)
 	data := mkStateData(d, gs)
-	if err := sch.GatherStates(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendGatherStates, sch.RecvGatherStates); err != nil {
 		t.Fatalf("gather did not heal: %v", err)
 	}
 	checkGhosts(t, d, gs, data)
@@ -98,7 +98,7 @@ func TestScatterAddHealsFaults(t *testing.T) {
 	for si := range gs.Ghosts(1) {
 		data[1][base+si][0] = 1
 	}
-	if err := sch.ScatterAddStates(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendScatterStates, sch.RecvScatterStates); err != nil {
 		t.Fatalf("scatter-add did not heal: %v", err)
 	}
 	for p := 0; p < d.NProc; p++ {
@@ -133,7 +133,7 @@ func TestFloatsGatherHealsWildcardFaults(t *testing.T) {
 			data[p][li] = float64(g)
 		}
 	}
-	if err := sch.GatherFloats(f, data); err != nil {
+	if err := exchange(sch, f, data, sch.SendGatherFloats, sch.RecvGatherFloats); err != nil {
 		t.Fatalf("float gather did not heal: %v", err)
 	}
 	for p := 0; p < d.NProc; p++ {
@@ -151,7 +151,7 @@ func TestNodeDownIsNotRetried(t *testing.T) {
 	d, gs, sch, f := faultyFixture(t, plan)
 	f.BeginCycle(0)
 	data := mkStateData(d, gs)
-	err := sch.GatherStates(f, data)
+	err := exchange(sch, f, data, sch.SendGatherStates, sch.RecvGatherStates)
 	if !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("gather with crashed node returned %v, want ErrNodeDown", err)
 	}

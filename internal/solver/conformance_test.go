@@ -19,9 +19,8 @@ import (
 // TestCrossEngineConformance is the cross-engine bitwise conformance
 // suite: one mesh sequence, three solver engines — serial multigrid,
 // pooled shared-memory multigrid at several worker counts, and the
-// distributed-memory multigrid (both sequential orchestration and
-// concurrent MIMD) — asserting bitwise-identical solutions and residual
-// histories.
+// distributed-memory multigrid (one goroutine per simulated processor) —
+// asserting bitwise-identical solutions and residual histories.
 //
 // Bitwise identity across engines requires identical floating-point
 // accumulation order, so the suite runs on color-canonical meshes
@@ -123,32 +122,20 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 
 			// Distributed multigrid on one processor: partition-local index
-			// order equals mesh order, so it is bitwise too — in both the
-			// sequential orchestration and the concurrent MIMD mode.
+			// order equals mesh order, so it is bitwise too.
 			parts := make([][]int32, len(canon))
 			parts[0] = make([]int32, canon[0].NV())
-			dmSeq, err := dmsolver.NewMultigrid(canon, parts, 1, p, tc.gamma)
+			dm1, err := dmsolver.NewMultigrid(canon, parts, 1, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hist := make([]float64, cycles)
 			for c := range hist {
-				if hist[c], err = dmSeq.Cycle(); err != nil {
+				if hist[c], err = dm1.Cycle(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			check("distributed[nproc=1]", hist, dmSeq.GatherSolution())
-
-			dmConc, err := dmsolver.NewMultigrid(canon, parts, 1, p, tc.gamma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := range hist {
-				if hist[c], err = dmConc.CycleConcurrent(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check("distributed-mimd[nproc=1]", hist, dmConc.GatherSolution())
+			check("distributed[nproc=1]", hist, dm1.GatherSolution())
 
 			// Multi-processor distributed: partition boundaries reassociate
 			// the per-vertex sums, so agreement is to roundoff only — and
